@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "harness.hpp"
-#include "net/star_world.hpp"
+#include "star_world.hpp"
 #include "util/time.hpp"
 
 namespace {
@@ -38,10 +38,10 @@ struct Row {
   bool deterministic = true;
 };
 
-double run_once(const hyms::net::StarWorldConfig& cfg, int threads,
-                hyms::net::StarWorldResult& out) {
+double run_once(const hyms::bench::StarWorldConfig& cfg, int threads,
+                hyms::bench::StarWorldResult& out) {
   const auto start = std::chrono::steady_clock::now();
-  out = hyms::net::run_star_world(cfg, threads);
+  out = hyms::bench::run_star_world(cfg, threads);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   }
   bench::warn_if_debug_build("bench_shared_world");
 
-  hyms::net::StarWorldConfig cfg;
+  hyms::bench::StarWorldConfig cfg;
   cfg.clients = clients;
   cfg.seed = seed;
   cfg.run_for = Time::sec(seconds);
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
               clients, seconds, partitions, hw, hw == 1 ? "" : "s");
 
   // The reference: the plain single-calendar kernel.
-  hyms::net::StarWorldResult seq;
+  hyms::bench::StarWorldResult seq;
   const double seq_wall = run_once(cfg, 1, seq);
 
   const auto write_file = [](const std::string& path,
@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   cfg.partitions = partitions;
   Time lookahead = Time::max();
   for (const int threads : {1, 2, 4}) {
-    hyms::net::StarWorldResult par;
+    hyms::bench::StarWorldResult par;
     const double wall = run_once(cfg, threads, par);
     lookahead = par.lookahead;
     Row row{partitions, threads, wall,

@@ -22,9 +22,14 @@ struct MediaFrame {
 
 /// Frame payload layout (deterministic, integrity-checkable):
 ///   magic(4) source_hash(4) index(8) level(1) body_len(4) body(body_len)
-/// Body bytes are a cheap xorshift stream keyed by (source_hash, index,
-/// level), so any truncation or corruption en route is detectable without
-/// shipping real codec data.
+/// Body byte i is the low byte of a 64-bit xorshift (<<13, >>7, <<17) state
+/// seeded from (source_hash, index, level) and stepped i + 1 times, so any
+/// truncation or corruption en route is detectable without shipping real
+/// codec data. Encoding and verification share one generator: it fills each
+/// 256-byte group with eight independent 32-byte lanes, starting each lane
+/// 32 steps after the previous one through a precomputed jump table, and
+/// steps the tail one byte at a time. The bytes are the same as stepping the
+/// whole body one byte at a time.
 struct FrameBody {
   std::uint32_t source_hash = 0;
   std::int64_t index = 0;

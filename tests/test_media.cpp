@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "media/frame.hpp"
 #include "media/profiles.hpp"
 #include "media/quality.hpp"
@@ -106,10 +110,136 @@ TEST(FramePayloadTest, EncodeVerifyRoundTrip) {
   EXPECT_EQ(meta->quality_level, 3);
 }
 
-TEST(FramePayloadTest, CorruptionDetected) {
-  auto payload = encode_frame_payload(1, 2, 0, 200);
-  payload[100] ^= 0x01;
-  EXPECT_FALSE(verify_frame_payload(payload).has_value());
+// Body lengths on both sides of the generator's 32-byte lane slices and
+// 256-byte groups, plus multi-kilobyte bodies with a tail after many groups.
+constexpr std::size_t kBodyLengths[] = {0,   1,   31,  32,   255,  256, 257,
+                                        511, 512, 513, 3479, 5979, 8192};
+
+// Byte-at-a-time reference for the payload layout: big-endian header, then
+// one xorshift step per body byte, emitting the state's low byte.
+std::vector<std::uint8_t> oracle_payload(std::uint32_t source_hash,
+                                         std::int64_t index, int level,
+                                         std::size_t body_len) {
+  std::vector<std::uint8_t> out;
+  const auto put = [&out](std::uint64_t v, int bytes) {
+    for (int i = bytes - 1; i >= 0; --i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  put(0x48594D46, 4);  // "HYMF"
+  put(source_hash, 4);
+  put(static_cast<std::uint64_t>(index), 8);
+  put(static_cast<std::uint8_t>(level), 1);
+  put(body_len, 4);
+  std::uint64_t x = (static_cast<std::uint64_t>(source_hash) << 32) ^
+                    static_cast<std::uint64_t>(index) ^
+                    (static_cast<std::uint64_t>(level) << 56) ^
+                    0x9E3779B97F4A7C15ULL;
+  for (std::size_t i = 0; i < body_len; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    out.push_back(static_cast<std::uint8_t>(x));
+  }
+  return out;
+}
+
+TEST(FramePayloadTest, EncodeMatchesByteAtATimeOracle) {
+  const std::int64_t indexes[] = {std::numeric_limits<std::int64_t>::min(),
+                                  -987654321, -1, 0, 1, 1'000'003,
+                                  std::numeric_limits<std::int64_t>::max()};
+  for (const std::size_t body_len : kBodyLengths) {
+    for (const std::int64_t index : indexes) {
+      for (const int level : {0, 1, 255}) {
+        EXPECT_EQ(encode_frame_payload(0xC0FFEE, index, level,
+                                       kFrameHeaderBytes + body_len),
+                  oracle_payload(0xC0FFEE, index, level, body_len))
+            << "body " << body_len << " index " << index << " level "
+            << level;
+      }
+    }
+  }
+}
+
+// FNV-1a 64 over the concatenated payloads of a fixed (hash, index, level,
+// size) sweep, recorded from the byte-at-a-time generator. Any change to the
+// wire bytes of a frame payload changes this digest.
+TEST(FramePayloadTest, WireBytesMatchGoldenDigest) {
+  const std::uint32_t hashes[] = {0u, 1u, 0xABCDu, 0xDEADBEEFu, 0xFFFFFFFFu};
+  const std::int64_t indexes[] = {std::numeric_limits<std::int64_t>::min(),
+                                  -1,
+                                  0,
+                                  1,
+                                  42,
+                                  1'000'003,
+                                  std::numeric_limits<std::int64_t>::max()};
+  const std::size_t totals[] = {0,   20,  21,  22,   52,   53,   276, 277,
+                                278, 532, 533, 534, 3500, 6000, 8213};
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t payloads = 0;
+  for (const std::uint32_t hash : hashes) {
+    for (const std::int64_t index : indexes) {
+      for (const int level : {0, 1, 7, 255}) {
+        for (const std::size_t total : totals) {
+          for (const std::uint8_t b :
+               encode_frame_payload(hash, index, level, total)) {
+            digest ^= b;
+            digest *= 0x100000001b3ULL;
+          }
+          ++payloads;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(payloads, 2100u);
+  EXPECT_EQ(digest, 0xe6025d144cdbca7dULL);
+}
+
+TEST(FramePayloadTest, EveryBodyBitFlipDetected) {
+  for (const std::size_t body_len : kBodyLengths) {
+    auto payload = encode_frame_payload(7, 2, 0, kFrameHeaderBytes + body_len);
+    ASSERT_TRUE(verify_frame_payload(payload).has_value()) << body_len;
+    for (std::size_t i = 0; i < body_len; ++i) {
+      const auto bit = static_cast<std::uint8_t>(1u << (i % 8));
+      payload[kFrameHeaderBytes + i] ^= bit;
+      EXPECT_FALSE(verify_frame_payload(payload).has_value())
+          << "body " << body_len << " byte " << i;
+      payload[kFrameHeaderBytes + i] ^= bit;
+    }
+  }
+}
+
+TEST(FramePayloadTest, EveryHeaderFieldFlipDetected) {
+  // Header bytes: magic 0-3, source_hash 4-7, index 8-15, level 16,
+  // body_len 17-20. A changed key (hash, index, level) is caught through the
+  // body it regenerates, so an empty body cannot catch it, and a body of a
+  // few bytes could match the new key's bytes by chance.
+  constexpr std::size_t kKeyFirst = 4;
+  constexpr std::size_t kKeyEnd = 17;
+  for (const std::size_t body_len : kBodyLengths) {
+    auto payload =
+        encode_frame_payload(7, -3, 1, kFrameHeaderBytes + body_len);
+    for (std::size_t i = 0; i < kFrameHeaderBytes; ++i) {
+      if (i >= kKeyFirst && i < kKeyEnd && body_len < 8) continue;
+      payload[i] ^= 0x10;
+      EXPECT_FALSE(verify_frame_payload(payload).has_value())
+          << "body " << body_len << " header byte " << i;
+      payload[i] ^= 0x10;
+    }
+  }
+}
+
+TEST(FramePayloadTest, LengthOffByOneDetected) {
+  for (const std::size_t body_len : kBodyLengths) {
+    const auto payload =
+        encode_frame_payload(7, 2, 0, kFrameHeaderBytes + body_len);
+    auto shorter = payload;
+    shorter.pop_back();
+    EXPECT_FALSE(verify_frame_payload(shorter).has_value()) << body_len;
+    auto longer = payload;
+    longer.push_back(0);
+    EXPECT_FALSE(verify_frame_payload(longer).has_value()) << body_len;
+  }
 }
 
 TEST(FramePayloadTest, TruncationDetected) {

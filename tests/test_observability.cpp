@@ -24,7 +24,7 @@
 #include "harness.hpp"
 #include "hermes/deployment.hpp"
 #include "hermes/sample_content.hpp"
-#include "net/star_world.hpp"
+#include "star_world.hpp"
 #include "proto/messages.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/qoe.hpp"
@@ -297,20 +297,20 @@ TEST(SloMath, AddMergesFieldDisjointFills) {
 // --- partitioned QoE identity -------------------------------------------------
 
 TEST(QoePartitioned, StarWorldExportByteIdentical) {
-  net::StarWorldConfig cfg;
+  bench::StarWorldConfig cfg;
   cfg.clients = 12;
   cfg.seed = 11;
   cfg.run_for = Time::sec(2);
   cfg.server_bandwidth_bps = cfg.clients * 0.7e6;  // oversubscribed: drops
   cfg.telemetry = true;
 
-  const auto seq = net::run_star_world(cfg);
+  const auto seq = bench::run_star_world(cfg);
   ASSERT_FALSE(seq.qoe_json.empty());
   EXPECT_NE(seq.qoe_json.find("hyms-slo-v1"), std::string::npos);
 
   cfg.partitions = 3;
   for (const int threads : {1, 2, 4}) {
-    const auto par = net::run_star_world(cfg, threads);
+    const auto par = bench::run_star_world(cfg, threads);
     EXPECT_EQ(par.fingerprint, seq.fingerprint) << threads << " threads";
     EXPECT_EQ(par.qoe_json, seq.qoe_json) << threads << " threads";
   }

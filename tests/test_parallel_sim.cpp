@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "net/partition.hpp"
-#include "net/star_world.hpp"
+#include "star_world.hpp"
 #include "sim/parallel.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -276,8 +276,8 @@ TEST(TelemetryMergeTest, TracerReintersNamesAndSortsStably) {
 
 // --- the acceptance gate: star world byte-identity ---------------------------
 
-net::StarWorldConfig small_world(std::uint64_t seed) {
-  net::StarWorldConfig cfg;
+bench::StarWorldConfig small_world(std::uint64_t seed) {
+  bench::StarWorldConfig cfg;
   cfg.clients = 24;
   cfg.seed = seed;
   cfg.run_for = Time::sec(3);
@@ -289,8 +289,8 @@ net::StarWorldConfig small_world(std::uint64_t seed) {
 }
 
 TEST(StarWorldTest, SequentialKernelIsDeterministic) {
-  const auto a = net::run_star_world(small_world(7));
-  const auto b = net::run_star_world(small_world(7));
+  const auto a = bench::run_star_world(small_world(7));
+  const auto b = bench::run_star_world(small_world(7));
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_EQ(a.events_csv, b.events_csv);
   EXPECT_GT(a.packets_received, 0);
@@ -298,12 +298,12 @@ TEST(StarWorldTest, SequentialKernelIsDeterministic) {
 }
 
 TEST(StarWorldTest, ParallelMatchesSequentialAcrossThreadCounts) {
-  const auto seq = net::run_star_world(small_world(42));
+  const auto seq = bench::run_star_world(small_world(42));
   for (const std::size_t partitions : {2u, 4u}) {
     for (const int threads : {1, 2, 4}) {
       auto cfg = small_world(42);
       cfg.partitions = partitions;
-      const auto par = net::run_star_world(cfg, threads);
+      const auto par = bench::run_star_world(cfg, threads);
       SCOPED_TRACE("partitions=" + std::to_string(partitions) +
                    " threads=" + std::to_string(threads));
       EXPECT_EQ(par.fingerprint, seq.fingerprint);
@@ -325,9 +325,9 @@ TEST(StarWorldTest, ZeroPropagationForcesDegenerateWindowStillIdentical) {
   cfg.clients = 8;
   cfg.run_for = Time::msec(800);
   cfg.base_propagation = Time::zero();  // some links now have zero latency
-  const auto seq = net::run_star_world(cfg);
+  const auto seq = bench::run_star_world(cfg);
   cfg.partitions = 3;
-  const auto par = net::run_star_world(cfg, 3);
+  const auto par = bench::run_star_world(cfg, 3);
   EXPECT_EQ(par.lookahead, Time::zero());
   EXPECT_EQ(par.fingerprint, seq.fingerprint);
   EXPECT_EQ(par.events_csv, seq.events_csv);
@@ -337,9 +337,9 @@ TEST(StarWorldTest, TelemetryIsPassiveAndMergesDeterministically) {
   auto cfg = small_world(13);
   cfg.clients = 8;
   cfg.run_for = Time::sec(1);
-  const auto bare = net::run_star_world(cfg);
+  const auto bare = bench::run_star_world(cfg);
   cfg.telemetry = true;
-  const auto traced = net::run_star_world(cfg);
+  const auto traced = bench::run_star_world(cfg);
   // Recording never perturbs the simulation.
   EXPECT_EQ(traced.fingerprint, bare.fingerprint);
   EXPECT_FALSE(traced.metrics_csv.empty());
@@ -347,8 +347,8 @@ TEST(StarWorldTest, TelemetryIsPassiveAndMergesDeterministically) {
 
   // Merged per-partition telemetry is thread-count independent.
   cfg.partitions = 3;
-  const auto par1 = net::run_star_world(cfg, 1);
-  const auto par3 = net::run_star_world(cfg, 3);
+  const auto par1 = bench::run_star_world(cfg, 1);
+  const auto par3 = bench::run_star_world(cfg, 3);
   EXPECT_EQ(par1.fingerprint, bare.fingerprint);
   EXPECT_EQ(par1.metrics_csv, par3.metrics_csv);
   EXPECT_EQ(par1.trace_csv, par3.trace_csv);
@@ -359,25 +359,25 @@ TEST(StarWorldTest, TelemetryIsPassiveAndMergesDeterministically) {
 /// final rate ladder, and the canonical event log.
 TEST(StarWorldTest, HundredSeedFingerprintSweep) {
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-    net::StarWorldConfig cfg;
+    bench::StarWorldConfig cfg;
     cfg.clients = 6;
     cfg.seed = seed;
     cfg.run_for = Time::msec(900);
-    const auto seq = net::run_star_world(cfg);
+    const auto seq = bench::run_star_world(cfg);
     cfg.partitions = 3;
-    const auto par = net::run_star_world(cfg, 3);
+    const auto par = bench::run_star_world(cfg, 3);
     ASSERT_EQ(par.fingerprint, seq.fingerprint) << "seed=" << seed;
   }
 }
 
 TEST(StarWorldTest, MorePartitionsThanClientsStillRuns) {
-  net::StarWorldConfig cfg;
+  bench::StarWorldConfig cfg;
   cfg.clients = 2;
   cfg.seed = 3;
   cfg.run_for = Time::msec(500);
-  const auto seq = net::run_star_world(cfg);
+  const auto seq = bench::run_star_world(cfg);
   cfg.partitions = 6;  // four partitions sit empty
-  const auto par = net::run_star_world(cfg, 4);
+  const auto par = bench::run_star_world(cfg, 4);
   EXPECT_EQ(par.fingerprint, seq.fingerprint);
   EXPECT_EQ(par.events_csv, seq.events_csv);
 }
