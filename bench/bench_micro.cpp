@@ -269,41 +269,10 @@ void BM_PacketForwardingSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketForwardingSteadyState);
 
-void BM_PacketForwardingUnbatched(benchmark::State& state) {
-  // The reference per-packet path (LinkParams::batching = false): two
-  // scheduled events per packet per hop. The ratio of
-  // BM_PacketForwardingSteadyState to this benchmark is the batching win on
-  // the forwarding path (the ISSUE's >= 1.5x acceptance bar).
-  sim::Simulator sim;
-  net::Network net(sim);
-  const auto a = net.add_host("a");
-  const auto r = net.add_router("r");
-  const auto b = net.add_host("b");
-  net::LinkParams lp;
-  lp.queue_capacity_bytes = 1 << 20;
-  lp.batching = false;
-  net.connect(a, r, lp);
-  net.connect(r, b, lp);
-  std::int64_t received = 0;
-  net.bind(b, 50, [&](const net::Packet&) { ++received; });
-  const std::size_t payload_bytes = 1000;
-  for (auto _ : state) {
-    for (int i = 0; i < 1000; ++i) {
-      auto buf = net.payload_pool().acquire(payload_bytes);
-      buf.resize(payload_bytes);
-      net.send(net::Endpoint{a, 1}, net::Endpoint{b, 50}, std::move(buf));
-    }
-    sim.run();
-    benchmark::DoNotOptimize(received);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_PacketForwardingUnbatched);
-
 void BM_PacketTrainForwarding(benchmark::State& state) {
-  // The batched fast path end to end: frames fragment into 8-packet trains
+  // The train path end to end: frames fragment into 8-packet trains
   // submitted whole (send_train), so each burst costs ~one chained arrival
-  // event per link instead of 16 scheduled events.
+  // event per link.
   sim::Simulator sim;
   net::Network net(sim);
   const auto a = net.add_host("a");

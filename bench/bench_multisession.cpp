@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
   double zipf_s = 1.0;
   std::vector<int> thread_counts = {1, 2, 4};
   bool json = false;
-  bool batching = true;
   bool cache_enabled = true;
   double cache_mb = 64.0;
   double run_for_s = 20.0;
@@ -116,10 +115,6 @@ int main(int argc, char** argv) {
       sessions = 4;
       run_for_s = 5.0;
       thread_counts = {1, 2};
-    } else if (arg == "--unbatched") {
-      // Reference per-packet link path; outcomes (and fingerprints) are
-      // identical to the batched default, only the wall-clock differs.
-      batching = false;
     } else if (arg == "--no-cache") {
       // Per-frame synthesis reference path; outcomes identical, wall-clock
       // is what the shared cache buys back.
@@ -147,7 +142,7 @@ int main(int argc, char** argv) {
                    "usage: bench_multisession [--sessions=N] "
                    "[--documents=N] [--zipf=S] [--threads=1,2,4] "
                    "[--run-for=SECONDS] [--cache-mb=MB] [--smoke] "
-                   "[--unbatched] [--no-cache] [--trace=FILE] "
+                   "[--no-cache] [--trace=FILE] "
                    "[--metrics=FILE] [--slo-json=FILE] [--json]\n");
       return 1;
     }
@@ -164,7 +159,6 @@ int main(int argc, char** argv) {
   bench::SessionParams base;
   base.seed = 7;
   base.run_for = Time::sec(static_cast<std::int64_t>(run_for_s) + 2);
-  base.link_batching = batching;
   base.collect_qoe = !slo_file.empty();
 
   // One process-wide cache shared by every session on every shard — the
@@ -332,7 +326,6 @@ int main(int argc, char** argv) {
                  "    \"session_sim_seconds\": %.1f,\n"
                  "    \"num_cpus\": %u,\n"
                  "    \"hardware_concurrency\": %u,\n"
-                 "    \"link_batching\": %s,\n"
                  "    \"frame_cache\": %s,\n"
                  "    \"frame_cache_mb\": %.1f,\n"
                  "    \"trace\": \"%s\",\n"
@@ -344,7 +337,6 @@ int main(int argc, char** argv) {
                  "  \"results\": [\n",
                  bench::host_name().c_str(), sessions, documents, zipf_s,
                  run_for_s, hw, bench::hardware_threads(),
-                 batching ? "true" : "false",
                  cache_enabled ? "true" : "false",
                  cache_enabled ? cache_mb : 0.0, trace_file.c_str(),
                  metrics_file.c_str(), slo_file.c_str(),

@@ -34,7 +34,9 @@ std::string lecture_markup(int seconds, int video_kbps,
   return lesson.markup_text();
 }
 
-SessionMetrics run_session(const SessionParams& params) {
+SessionMetrics run_session(
+    const SessionParams& params,
+    const std::function<void(net::Network&)>& inspect) {
   SessionMetrics metrics;
   sim::Simulator sim(params.seed);
 
@@ -51,8 +53,6 @@ SessionMetrics run_session(const SessionParams& params) {
   hermes::Deployment::Config config;
   config.client_access.bandwidth_bps = params.access_bandwidth_bps;
   config.client_access.queue_capacity_bytes = 48 * 1024;
-  config.backbone.batching = params.link_batching;
-  config.client_access.batching = params.link_batching;
   config.server_template.qos.enabled = params.qos_enabled;
   config.server_template.qos.action_hold = params.qos_action_hold;
   config.server_template.qos.degrade_order =
@@ -122,6 +122,7 @@ SessionMetrics run_session(const SessionParams& params) {
   requested_at = sim.now();
   session.request_document("doc");
   sim.run_until(params.run_for);
+  if (inspect) inspect(deployment.network());
 
   auto export_telemetry = [&] {
     if (!telemetry_on) return;
@@ -181,7 +182,7 @@ SessionMetrics run_session(const SessionParams& params) {
   }
   if (!transit.empty()) metrics.transit_p99_ms = transit.max();
   if (params.capture_playout_events) metrics.events_csv = trace.events_csv();
-  // RTCP + link-drop counters for differential (batched vs. unbatched) runs.
+  // RTCP + link-drop counters, pinned by the golden session digests.
   for (const auto& spec : session.presentation()->scenario().streams) {
     if (const auto* receiver = session.presentation()->receiver(spec.id)) {
       metrics.rtcp_reports_sent += receiver->stats().reports_sent;

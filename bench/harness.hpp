@@ -19,6 +19,10 @@
 #include "telemetry/qoe.hpp"
 #include "util/time.hpp"
 
+namespace hyms::net {
+class Network;
+}  // namespace hyms::net
+
 namespace hyms::bench {
 
 struct SessionParams {
@@ -53,10 +57,6 @@ struct SessionParams {
   Time cross_mean_on = Time::sec(4);
   Time cross_mean_off = Time::sec(4);
 
-  /// Batched link transfer path (LinkParams::batching) on every link in the
-  /// deployment. Off = the per-packet two-events reference path; outcomes
-  /// must be identical either way (the differential test's lever).
-  bool link_batching = true;
   /// Shared frame-synthesis cache installed on every server of the
   /// deployment. Null -> each server owns a private cache of
   /// frame_cache_bytes (0 disables caching: the per-frame synthesis
@@ -112,7 +112,11 @@ struct SessionMetrics {
 };
 
 /// Run one complete session (connect, subscribe, request, play, teardown).
-SessionMetrics run_session(const SessionParams& params);
+/// `inspect`, if set, sees the deployment's network once the horizon is
+/// reached (tests audit per-link packet accounting there).
+SessionMetrics run_session(
+    const SessionParams& params,
+    const std::function<void(net::Network&)>& inspect = nullptr);
 
 /// Run `count` independent sessions (seeds base.seed, base.seed+1, ...)
 /// sharded across `threads` worker threads. Each session owns its Simulator

@@ -68,16 +68,8 @@ void Link::transmit(Packet&& pkt) {
     drop_down(std::move(pkt));
     return;
   }
-  if (is_conduit_) {
-    offer(std::move(pkt), sim_.now());
-    flush_mailbox();
-    return;
-  }
-  if (!params_.batching) {
-    transmit_unbatched(std::move(pkt));
-    return;
-  }
   offer(std::move(pkt), sim_.now());
+  flush_mailbox();
 }
 
 void Link::send_train(std::vector<Packet>& train) {
@@ -86,23 +78,10 @@ void Link::send_train(std::vector<Packet>& train) {
     train.clear();
     return;
   }
-  if (is_conduit_) {
-    const Time now = sim_.now();
-    mailbox_.reserve(mailbox_.size() + train.size());
-    for (auto& pkt : train) offer(std::move(pkt), now);
-    train.clear();
-    flush_mailbox();
-    return;
-  }
-  if (!params_.batching) {
-    for (auto& pkt : train) transmit_unbatched(std::move(pkt));
-    train.clear();
-    return;
-  }
   const Time now = sim_.now();
-  calendar_.reserve(calendar_.size() + train.size());
   for (auto& pkt : train) offer(std::move(pkt), now);
   train.clear();
+  flush_mailbox();
 }
 
 void Link::drain_transit(Time t) {
@@ -112,8 +91,8 @@ void Link::drain_transit(Time t) {
     const TransitEntry& entry = transit_[transit_head_];
     queued_bytes_ -= entry.size;
     if (hub != nullptr) {
-      // Historical timestamp: the sample carries the serialization-finish
-      // instant the unbatched dequeue event would have fired at.
+      // Historical timestamp: the sample carries the instant the
+      // serialization finished, not the later instant it was retired at.
       hub->tracer().counter(trace_track_, n_queue_bytes_, entry.finish,
                             static_cast<double>(queued_bytes_));
     }
@@ -131,7 +110,7 @@ void Link::drain_transit(Time t) {
 
 void Link::offer(Packet&& pkt, Time t_offer) {
   // Retire finished serializations first so the queue-capacity check sees
-  // the same occupancy the unbatched path's dequeue events would have left.
+  // exactly the bytes still waiting for (or in) serialization at t_offer.
   drain_transit(t_offer);
 
   ++stats_.offered;
@@ -185,7 +164,7 @@ void Link::offer(Packet&& pkt, Time t_offer) {
   }
 
   if (is_conduit_) {
-    // Admission arithmetic above is byte-identical to the local path; only
+    // Admission arithmetic above is the same for both kinds of link; only
     // the hand-off differs. The packet waits in the mailbox until the
     // enclosing transmit()/send_train() posts the batch through the conduit.
     mailbox_.push_back(PendingArrival{std::move(pkt), arrival});
@@ -197,8 +176,8 @@ void Link::offer(Packet&& pkt, Time t_offer) {
 void Link::insert_calendar(PendingArrival&& item) {
   // Calendar insertion. Back-to-back bursts arrive monotonically, so the
   // common case is a push_back; jitter can reorder, handled by a stable
-  // sorted insert (after equal arrivals — FIFO among ties, matching the
-  // schedule-order semantics of per-packet arrival events).
+  // sorted insert (after equal arrivals — FIFO among ties, so packets with
+  // the same arrival instant deliver in the order they were admitted).
   if (calendar_.size() == calendar_head_ ||
       item.arrival >= calendar_.back().arrival) {
     calendar_.push_back(std::move(item));
@@ -302,75 +281,6 @@ void Link::fire_chain() {
     tr.begin(trace_track_, n_train_, fired_at);
     tr.end(trace_track_, last_delivered);
   }
-}
-
-void Link::transmit_unbatched(Packet&& pkt) {
-  ++stats_.offered;
-  const std::size_t size = pkt.wire_size();
-
-  if (queued_bytes_ + size > params_.queue_capacity_bytes) {
-    ++stats_.dropped_queue;
-    LOG_TRACE << "link " << name_ << " queue drop pkt " << pkt.id;
-    if (auto* hub = sim_.telemetry()) {
-      hub->tracer().instant(trace_track_, n_drop_queue_, sim_.now());
-    }
-    if (pool_ != nullptr) pool_->release(std::move(pkt.payload));
-    return;
-  }
-  if (params_.loss && params_.loss->drop(rng_)) {
-    ++stats_.dropped_loss;
-    LOG_TRACE << "link " << name_ << " random loss pkt " << pkt.id;
-    if (auto* hub = sim_.telemetry()) {
-      hub->tracer().instant(trace_track_, n_drop_loss_, sim_.now());
-    }
-    if (pool_ != nullptr) pool_->release(std::move(pkt.payload));
-    return;
-  }
-
-  const Time now = sim_.now();
-  const Time start = std::max(now, busy_until_);
-  stats_.queueing_delay_ms.add((start - now).to_ms());
-  const Time finish = start + serialization_time(size);
-  busy_until_ = finish;
-  queued_bytes_ += size;
-
-  if (params_.corruption_prob > 0 && !pkt.payload.empty() &&
-      rng_.bernoulli(params_.corruption_prob)) {
-    // Flip one bit of a random payload byte (classic line-noise model).
-    const auto at = static_cast<std::size_t>(rng_.below(pkt.payload.size()));
-    pkt.payload[at] ^= static_cast<std::uint8_t>(1u << rng_.below(8));
-    ++stats_.corrupted;
-  }
-
-  Time extra = Time::zero();
-  if (params_.jitter_stddev > Time::zero() || params_.jitter_mean > Time::zero()) {
-    const double j = rng_.normal(params_.jitter_mean.to_seconds(),
-                                 params_.jitter_stddev.to_seconds());
-    extra = Time::seconds(std::max(0.0, j));
-  }
-  const Time arrival = finish + params_.propagation + extra;
-
-  if (auto* hub = sim_.telemetry()) {
-    hub->tracer().counter(trace_track_, n_queue_bytes_, now,
-                          static_cast<double>(queued_bytes_));
-  }
-
-  // Telemetry stays passive: the queue-depth sample at `finish` rides the
-  // dequeue event that exists regardless, so traced and untraced runs
-  // execute the identical event sequence.
-  sim_.schedule_at(finish, [this, size] {
-    queued_bytes_ -= size;
-    if (auto* hub = sim_.telemetry()) {
-      hub->tracer().counter(trace_track_, n_queue_bytes_, sim_.now(),
-                            static_cast<double>(queued_bytes_));
-    }
-  });
-  sim_.schedule_at(arrival,
-                   [this, p = std::move(pkt), size]() mutable {
-                     ++stats_.delivered;
-                     stats_.bytes_delivered += static_cast<std::int64_t>(size);
-                     deliver_(std::move(p));
-                   });
 }
 
 void Link::flush_telemetry() {

@@ -27,20 +27,16 @@ struct LinkParams {
   /// Bit-error injection: probability that a traversing packet has one
   /// random payload byte flipped (transports must detect or tolerate it).
   double corruption_prob = 0.0;
-  /// Batched transfer path: admitted packets go onto a per-link arrival
-  /// calendar drained by a single chained event instead of two scheduled
-  /// events per packet. Per-packet timestamps, loss outcomes and stats are
-  /// identical to the unbatched path (the event count is not). Kept as a
-  /// flag so differential tests can pin the equivalence down; applies to
-  /// packets offered after a set_params() call.
-  bool batching = true;
 };
 
 /// One unidirectional link: drop-tail queue + serialization at bandwidth_bps
 /// + propagation + optional jitter and random loss. Queueing delay emerges
 /// from the busy-until horizon, so congestion (e.g. cross traffic) produces
 /// exactly the delay/jitter/loss behaviour the paper's recovery mechanisms
-/// are designed to absorb.
+/// are designed to absorb. Every offered packet goes through one admission
+/// path (offer()): its serialization finish and arrival are computed in
+/// closed form and it is parked in a per-link arrival calendar that one
+/// chained event drains, so a k-packet burst costs about one event, not 2k.
 class Link {
  public:
   using DeliverFn = std::function<void(Packet&&)>;
@@ -56,16 +52,15 @@ class Link {
 
   /// Turn this link into a cross-partition *conduit*: admission (queue,
   /// loss, serialization, jitter — every RNG draw and timestamp) still runs
-  /// on the source partition's simulator exactly as in the local batched
-  /// path, but admitted packets are mailed through `conduit` and parked in
-  /// the arrival calendar at the next executor barrier; the chained delivery
-  /// event then runs on `dst_sim` (the far endpoint's partition). Requires
-  /// params().propagation >= the executor lookahead for the lifetime of the
-  /// link — a push_override() must not lower a cross link's propagation
-  /// below it. Conduits always use the calendar path (the per-packet
-  /// unbatched reference path would schedule onto the far simulator from the
-  /// source thread), and skip per-event tracer emission (the trace track
-  /// lives in the source partition's hub; counters still flush post-run).
+  /// on the source partition's simulator exactly as on a local link, but
+  /// admitted packets are mailed through `conduit` and parked in the arrival
+  /// calendar at the next executor barrier; the chained delivery event then
+  /// runs on `dst_sim` (the far endpoint's partition). The source thread
+  /// never schedules onto the far simulator. Requires params().propagation
+  /// >= the executor lookahead for the lifetime of the link — a
+  /// push_override() must not lower a cross link's propagation below it.
+  /// Conduits skip per-event tracer emission (the trace track lives in the
+  /// source partition's hub; counters still flush post-run).
   void make_conduit(sim::Simulator& dst_sim, Conduit conduit);
   [[nodiscard]] bool is_conduit() const { return is_conduit_; }
 
@@ -76,10 +71,9 @@ class Link {
   /// Offer a back-to-back burst. Serialization-finish and arrival instants
   /// are computed analytically per packet from the queue state, loss/queue
   /// decisions are applied in offer order, and survivors are delivered from
-  /// ~one chained arrival event carrying per-packet timestamps — collapsing
-  /// 2k events per k-packet burst to ~2. Consumes the vector (packets are
-  /// moved out); with batching disabled this degrades to per-packet
-  /// transmit() calls.
+  /// ~one chained arrival event carrying per-packet timestamps. Same
+  /// outcome as k transmit() calls at the same instant. Consumes the vector
+  /// (packets are moved out).
   void send_train(std::vector<Packet>& train);
 
   [[nodiscard]] NodeId to_node() const { return to_; }
@@ -95,9 +89,8 @@ class Link {
   /// Administrative up/down state (fault injection). While down the link
   /// drops every packet offered to it (counted in Stats::dropped_down);
   /// packets already admitted to the arrival calendar — or queued for
-  /// serialization — were "on the wire" and still deliver, so the batched
-  /// train calendar needs no flushing and batched/unbatched paths stay
-  /// behaviourally identical under faults.
+  /// serialization — were "on the wire" and still deliver, so taking a link
+  /// down never touches the calendar.
   void set_up(bool up);
   [[nodiscard]] bool up() const { return up_; }
 
@@ -130,7 +123,7 @@ class Link {
   void flush_telemetry();
 
  private:
-  /// One admitted packet awaiting delivery (batched path).
+  /// One admitted packet awaiting delivery.
   struct PendingArrival {
     Packet pkt;
     Time arrival;
@@ -146,17 +139,18 @@ class Link {
   [[nodiscard]] Time serialization_time(std::size_t bytes) const;
   /// Count + discard one packet offered while the link is down.
   void drop_down(Packet&& pkt);
-  void transmit_unbatched(Packet&& pkt);
-  /// Batched admission: queue/loss decisions + closed-form finish/arrival,
-  /// then calendar insertion. No events scheduled beyond (re)arming the
-  /// chain. `t_offer` is the packet's logical offer instant (== sim_.now()).
+  /// Admission: queue/loss decisions + closed-form finish/arrival, then
+  /// calendar insertion (or, on a conduit, the mailbox). No events
+  /// scheduled beyond (re)arming the chain. `t_offer` is the packet's
+  /// logical offer instant (== sim_.now()).
   void offer(Packet&& pkt, Time t_offer);
   /// Sorted insert into the arrival calendar (FIFO among equal arrivals),
-  /// re-arming the chain when the head changes. Shared by the local batched
-  /// path (at offer time) and the conduit path (at the executor barrier).
+  /// re-arming the chain when the head changes. Local links insert at offer
+  /// time, conduits at the executor barrier.
   void insert_calendar(PendingArrival&& item);
   /// Conduit path: mail the admitted packets buffered by offer() through the
   /// conduit; the thunk parks them in the calendar at the next barrier.
+  /// No-op when the mailbox is empty, which it always is on a local link.
   void flush_mailbox();
   /// Runs at the executor barrier (no partition executing): park mailed
   /// packets in the calendar and arm the chain on the delivery simulator.
@@ -184,8 +178,8 @@ class Link {
   std::vector<LinkParams> override_stack_;  // saved params, LIFO
   Stats stats_;
 
-  // Batched-path state: arrival calendar (sorted by arrival, FIFO among
-  // equals; head_ indexes the first undelivered item) and the transit queue.
+  // Arrival calendar (sorted by arrival, FIFO among equals; head_ indexes
+  // the first undelivered item) and the transit queue.
   std::vector<PendingArrival> calendar_;
   std::size_t calendar_head_ = 0;
   std::vector<TransitEntry> transit_;

@@ -123,7 +123,7 @@ class Network {
 
   /// Inject a back-to-back burst from src to one destination: routes once,
   /// stamps sequential packet ids (identical ids and order to k send()
-  /// calls), and hands the whole train to the first-hop link's batched path
+  /// calls), and hands the whole train to the first-hop link's send_train()
   /// — or, for node-local traffic, to the socket's train receiver. Consumes
   /// the payloads; the caller's vector is cleared but keeps its capacity.
   void send_train(Endpoint src, Endpoint dst, std::vector<Payload>& payloads);

@@ -4,8 +4,10 @@
 #include <string>
 #include <vector>
 
+#include "golden_digest.hpp"
 #include "harness.hpp"
 #include "hermes/sample_content.hpp"
+#include "link_audit.hpp"
 #include "net/loss.hpp"
 #include "net/network.hpp"
 #include "server/multimedia_server.hpp"
@@ -14,12 +16,11 @@
 namespace hyms {
 namespace {
 
-net::LinkParams link_params(bool batching) {
+net::LinkParams link_params() {
   net::LinkParams lp;
   lp.bandwidth_bps = 10e6;
   lp.propagation = Time::msec(5);
   lp.queue_capacity_bytes = 64 * 1024;
-  lp.batching = batching;
   return lp;
 }
 
@@ -30,7 +31,7 @@ TEST(SendTrainTest, EmptyTrainIsNoOp) {
   net::Network net(sim);
   const auto a = net.add_host("a");
   const auto b = net.add_host("b");
-  net.connect(a, b, link_params(true));
+  net.connect(a, b, link_params());
   int received = 0;
   net.bind(b, 50, [&](const net::Packet&) { ++received; });
 
@@ -47,7 +48,7 @@ TEST(SendTrainTest, SinglePacketTrainExactArrival) {
   net::Network net(sim);
   const auto a = net.add_host("a");
   const auto b = net.add_host("b");
-  net.connect(a, b, link_params(true));
+  net.connect(a, b, link_params());
   Time arrival;
   std::size_t got = 0;
   net.bind(b, 50, [&](const net::Packet& pkt) {
@@ -61,8 +62,8 @@ TEST(SendTrainTest, SinglePacketTrainExactArrival) {
   EXPECT_TRUE(train.empty());  // consumed
   sim.run();
 
-  // serialization (1028B * 8 / 10Mbps = 822.4us) + 5ms propagation: the
-  // same arithmetic as a lone transmit() on the unbatched path.
+  // serialization (1028B * 8 / 10Mbps = 822.4us) + 5ms propagation: a
+  // one-packet train arrives exactly when a lone datagram would.
   EXPECT_EQ(got, 1000u);
   EXPECT_NEAR(arrival.to_seconds(), 0.005 + 1028 * 8 / 10e6, 1e-6);
 }
@@ -72,7 +73,7 @@ TEST(SendTrainTest, BackToBackTrainArrivalsAreCumulative) {
   net::Network net(sim);
   const auto a = net.add_host("a");
   const auto b = net.add_host("b");
-  net.connect(a, b, link_params(true));
+  net.connect(a, b, link_params());
   std::vector<Time> arrivals;
   net.bind(b, 50, [&](const net::Packet&) { arrivals.push_back(sim.now()); });
 
@@ -100,7 +101,7 @@ TEST(SendTrainTest, TrainSplitByQueueOverflow) {
   net::Network net(sim);
   const auto a = net.add_host("a");
   const auto b = net.add_host("b");
-  auto lp = link_params(true);
+  auto lp = link_params();
   lp.queue_capacity_bytes = 3 * 1028;  // room for exactly three wire packets
   net.connect(a, b, lp);
   int received = 0;
@@ -119,73 +120,103 @@ TEST(SendTrainTest, TrainSplitByQueueOverflow) {
   EXPECT_EQ(link->stats().offered, 5);
   EXPECT_EQ(link->stats().delivered, 3);
   EXPECT_EQ(link->stats().dropped_queue, 2);
+  expect_link_conserved(*link);
 }
 
-// Same seed, same topology, same traffic — the only difference is the
-// batching flag. Arrival timestamps, packet ids and loss outcomes must match
-// exactly (the per-link RNG streams draw in offer order on both paths).
-TEST(SendTrainTest, BatchedMatchesUnbatchedTimestampsUnderLoss) {
-  auto run = [](bool batching) {
-    sim::Simulator sim(21);
-    net::Network net(sim);
-    const auto a = net.add_host("a");
-    const auto r = net.add_router("r");
-    const auto b = net.add_host("b");
-    auto lp = link_params(batching);
-    lp.loss = std::make_shared<net::BernoulliLoss>(0.1);
-    lp.jitter_stddev = Time::usec(200);
-    net.connect(a, r, lp);
-    net.connect(r, b, lp);
-    std::vector<std::pair<std::uint64_t, std::int64_t>> log;
-    net.bind(b, 50, [&](const net::Packet& pkt) {
-      log.emplace_back(pkt.id, sim.now().us());
+// Lossy, jittery trains over two hops: the (packet id, arrival us) log must
+// match the committed digest. The per-link RNG streams draw in offer order,
+// so any change to the queue, loss or jitter draws or to calendar order
+// moves it.
+// Recorded when the link still had a per-packet path beside the train
+// path; both gave this digest.
+TEST(SendTrainTest, TimestampsUnderLossMatchGoldenDigest) {
+  sim::Simulator sim(21);
+  net::Network net(sim);
+  const auto a = net.add_host("a");
+  const auto r = net.add_router("r");
+  const auto b = net.add_host("b");
+  auto lp = link_params();
+  lp.loss = std::make_shared<net::BernoulliLoss>(0.1);
+  lp.jitter_stddev = Time::usec(200);
+  net.connect(a, r, lp);
+  net.connect(r, b, lp);
+  std::vector<std::pair<std::uint64_t, std::int64_t>> log;
+  net.bind(b, 50, [&](const net::Packet& pkt) {
+    log.emplace_back(pkt.id, sim.now().us());
+  });
+  auto& sock = net.bind(a, 0, [](const net::Packet&) {});
+  for (int burst = 0; burst < 20; ++burst) {
+    sim.schedule_at(Time::msec(burst * 3), [&net, &sock, b] {
+      std::vector<net::Payload> train;
+      for (int i = 0; i < 8; ++i) train.push_back(net::Payload(700, 2));
+      net.send_train(sock.local(), net::Endpoint{b, 50}, train);
     });
-    auto& sock = net.bind(a, 0, [](const net::Packet&) {});
-    for (int burst = 0; burst < 20; ++burst) {
-      sim.schedule_at(Time::msec(burst * 3), [&net, &sock, b] {
-        std::vector<net::Payload> train;
-        for (int i = 0; i < 8; ++i) train.push_back(net::Payload(700, 2));
-        net.send_train(sock.local(), net::Endpoint{b, 50}, train);
-      });
-    }
-    sim.run();
-    return log;
-  };
-  const auto batched = run(true);
-  const auto unbatched = run(false);
-  EXPECT_GT(batched.size(), 100u);  // loss trimmed some of the 160
-  EXPECT_EQ(batched, unbatched);
+  }
+  sim.run();
+
+  EXPECT_GT(log.size(), 100u);  // loss trimmed some of the 160
+  GoldenDigest digest;
+  for (const auto& [id, arrival_us] : log) {
+    digest.mix(id);
+    digest.mix(static_cast<std::uint64_t>(arrival_us));
+  }
+  EXPECT_EQ(log.size(), 133u);
+  EXPECT_EQ(digest.value, 0x81c2f03e9d7245b9ULL);
+  EXPECT_EQ(expect_links_conserved(net), 4);
 }
 
-// --- full-scenario differential (the ISSUE's headline test) ------------------
+// --- golden lossy sessions ---------------------------------------------------
+//
+// A full session over a lossy, jittery downlink, pinned per seed by committed
+// values: the session fingerprint, a digest of the playout event CSV, RTCP
+// feedback and the downlink's drop counts. Recorded when the link still had
+// a per-packet path beside the train path; both gave these values.
 
-TEST(BatchingDifferentialTest, LossySessionByteIdenticalPlayout) {
-  bench::SessionParams params;
-  params.markup = bench::lecture_markup(8);
-  params.seed = 11;
-  params.run_for = Time::sec(12);
-  params.bernoulli_loss = 0.02;
-  params.jitter_stddev = Time::msec(2);
-  params.capture_playout_events = true;
+struct SessionGolden {
+  std::uint64_t seed;
+  std::uint64_t fingerprint;
+  std::uint64_t events_csv_digest;
+  std::int64_t rtcp_reports_sent;
+  std::int64_t rtcp_packets_lost;
+  std::int64_t link_dropped_loss;
+  std::int64_t link_dropped_queue;
+};
 
-  params.link_batching = true;
-  const auto batched = bench::run_session(params);
-  params.link_batching = false;
-  const auto unbatched = bench::run_session(params);
+TEST(LinkGoldenTest, LossySessionsMatchGoldenDigests) {
+  const SessionGolden kGolden[] = {
+      {11, 0xd8535f5dcb867902ULL, 0x6e1530a2073e8569ULL, 18, 21, 25, 0},
+      {12, 0xcccbb178946d37f9ULL, 0x80719e67c2afc772ULL, 18, 28, 32, 0},
+      {13, 0x69ab1d7a3c032a47ULL, 0x8da110a3076ea9ccULL, 18, 30, 37, 0},
+  };
+  for (const SessionGolden& golden : kGolden) {
+    SCOPED_TRACE("seed " + std::to_string(golden.seed));
+    bench::SessionParams params;
+    params.markup = bench::lecture_markup(8);
+    params.seed = golden.seed;
+    params.run_for = Time::sec(12);
+    params.bernoulli_loss = 0.02;
+    params.jitter_stddev = Time::msec(2);
+    params.capture_playout_events = true;
 
-  ASSERT_FALSE(batched.failed) << batched.error;
-  ASSERT_FALSE(unbatched.failed) << unbatched.error;
-  EXPECT_GT(batched.totals.fresh, 0);
-  EXPECT_FALSE(batched.events_csv.empty());
-  // Byte-identical playout event log, identical RTCP feedback, identical
-  // loss/queue outcomes on the impaired downlink, identical fingerprints.
-  EXPECT_EQ(batched.events_csv, unbatched.events_csv);
-  EXPECT_EQ(batched.rtcp_reports_sent, unbatched.rtcp_reports_sent);
-  EXPECT_EQ(batched.rtcp_packets_lost, unbatched.rtcp_packets_lost);
-  EXPECT_EQ(batched.link_dropped_loss, unbatched.link_dropped_loss);
-  EXPECT_EQ(batched.link_dropped_queue, unbatched.link_dropped_queue);
-  EXPECT_EQ(bench::session_fingerprint(batched),
-            bench::session_fingerprint(unbatched));
+    int links_audited = 0;
+    const auto m = bench::run_session(params, [&](net::Network& net) {
+      links_audited = expect_links_conserved(net);
+    });
+    ASSERT_FALSE(m.failed) << m.error;
+    EXPECT_GT(links_audited, 0);
+    EXPECT_GT(m.totals.fresh, 0);
+    EXPECT_GT(m.link_dropped_loss, 0);
+    ASSERT_FALSE(m.events_csv.empty());
+
+    GoldenDigest csv;
+    csv.mix(m.events_csv);
+    EXPECT_EQ(bench::session_fingerprint(m), golden.fingerprint);
+    EXPECT_EQ(csv.value, golden.events_csv_digest);
+    EXPECT_EQ(m.rtcp_reports_sent, golden.rtcp_reports_sent);
+    EXPECT_EQ(m.rtcp_packets_lost, golden.rtcp_packets_lost);
+    EXPECT_EQ(m.link_dropped_loss, golden.link_dropped_loss);
+    EXPECT_EQ(m.link_dropped_queue, golden.link_dropped_queue);
+  }
 }
 
 // --- flow-plan cache ---------------------------------------------------------

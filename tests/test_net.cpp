@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "link_audit.hpp"
 #include "net/cross_traffic.hpp"
 #include "net/loss.hpp"
 #include "net/network.hpp"
@@ -161,6 +162,7 @@ TEST_F(NetFixture, DropTailQueueOverflow) {
   auto* link = net.find_link(a, b);
   EXPECT_GT(link->stats().dropped_queue, 0);
   EXPECT_EQ(received + link->stats().dropped_queue, 50);
+  EXPECT_EQ(expect_links_conserved(net), 2);
 }
 
 TEST_F(NetFixture, QueueDrainsAndAcceptsAgain) {
@@ -185,6 +187,7 @@ TEST_F(NetFixture, QueueDrainsAndAcceptsAgain) {
   EXPECT_GT(link->stats().dropped_queue, 0);
   // The late packet must get through.
   EXPECT_EQ(received, 10 - link->stats().dropped_queue + 1);
+  EXPECT_EQ(expect_links_conserved(net), 2);
 }
 
 TEST_F(NetFixture, JitterCanReorder) {
@@ -210,6 +213,7 @@ TEST_F(NetFixture, JitterCanReorder) {
     if (arrivals[i] < arrivals[i - 1]) reordered = true;
   }
   EXPECT_TRUE(reordered) << "with 10ms jitter stddev reordering is expected";
+  EXPECT_EQ(expect_links_conserved(net), 2);
 }
 
 TEST_F(NetFixture, CorruptionFlipsBitsAndCounts) {
@@ -313,6 +317,7 @@ TEST_F(NetFixture, LinkLossModelApplied) {
   EXPECT_NEAR(static_cast<double>(received) / n, 0.75, 0.02);
   EXPECT_NEAR(static_cast<double>(net.find_link(a, b)->stats().dropped_loss) / n,
               0.25, 0.02);
+  EXPECT_EQ(expect_links_conserved(net), 2);
 }
 
 // --- cross traffic -----------------------------------------------------------------

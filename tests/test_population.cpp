@@ -1,17 +1,17 @@
 // Partitioned shared-world population: parallel-vs-sequential byte-identity
 // at every partitions x threads combination, the fleet-shared FrameCache
-// crossing partition threads, and the satellite differential check that
-// faults landing while a packet train is parked in a batched link's calendar
-// behave byte-identically to the per-packet reference path.
+// crossing partition threads, and golden outcomes for faults that land while
+// a packet train is parked in a link's arrival calendar.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
+#include "golden_digest.hpp"
 #include "hermes/population.hpp"
+#include "link_audit.hpp"
 #include "media/frame_cache.hpp"
 #include "net/link.hpp"
 #include "net/loss.hpp"
@@ -102,15 +102,18 @@ TEST(PopulationFates, EverySessionGetsExactlyOneFate) {
   EXPECT_EQ(arrivals, static_cast<std::size_t>(cfg.sessions));
 }
 
-// --- satellite: faults vs the batched-train calendar -------------------------
+// --- faults vs the arrival calendar ----------------------------------------
 //
 // Link flaps and bandwidth-override push/pop land mid-run while trains are
-// parked in the batched link's arrival calendar. The batched and per-packet
-// paths must produce the same per-packet delivery timeline, the same loss
-// outcomes (same RNG draw order) and the same drop accounting.
+// parked in the link's arrival calendar. The per-packet delivery timeline,
+// the loss outcomes (RNG draw order) and the drop accounting are pinned per
+// seed by committed values, recorded when the link still had a per-packet
+// path beside the train path; both gave these values.
 
 struct ChaosOutcome {
-  std::vector<std::pair<std::int64_t, std::size_t>> arrivals;  // (t_us, size)
+  std::uint64_t seed = 0;
+  std::uint64_t arrivals_digest = 0;  // over (t_us, size) in delivery order
+  std::int64_t arrivals = 0;
   std::int64_t offered = 0;
   std::int64_t delivered = 0;
   std::int64_t dropped_queue = 0;
@@ -118,17 +121,9 @@ struct ChaosOutcome {
   std::int64_t dropped_down = 0;
   std::int64_t net_sent = 0;
   std::int64_t net_delivered = 0;
-
-  bool operator==(const ChaosOutcome& o) const {
-    return std::tie(arrivals, offered, delivered, dropped_queue, dropped_loss,
-                    dropped_down, net_sent, net_delivered) ==
-           std::tie(o.arrivals, o.offered, o.delivered, o.dropped_queue,
-                    o.dropped_loss, o.dropped_down, o.net_sent,
-                    o.net_delivered);
-  }
 };
 
-ChaosOutcome run_fault_chaos(bool batching, std::uint64_t seed) {
+ChaosOutcome run_fault_chaos(std::uint64_t seed) {
   sim::Simulator sim(seed);
   net::Network net(sim);
   const auto a = net.add_host("a");
@@ -137,14 +132,17 @@ ChaosOutcome run_fault_chaos(bool batching, std::uint64_t seed) {
   lp.bandwidth_bps = 10e6;
   lp.propagation = Time::msec(5);
   lp.queue_capacity_bytes = 24 * 1024;  // small: overflow mid-train
-  lp.batching = batching;
   lp.loss = std::make_shared<net::BernoulliLoss>(0.15);
   net.connect(a, b, lp);
   net::Link* link = net.find_link(a, b);
 
   ChaosOutcome out;
+  out.seed = seed;
+  GoldenDigest arrivals;
   net.bind(b, 50, [&](const net::Packet& pkt) {
-    out.arrivals.emplace_back(sim.now().us(), pkt.payload.size());
+    arrivals.mix(static_cast<std::uint64_t>(sim.now().us()));
+    arrivals.mix(pkt.payload.size());
+    ++out.arrivals;
   });
 
   const auto send_train = [&](int count, std::size_t bytes) {
@@ -175,6 +173,8 @@ ChaosOutcome run_fault_chaos(bool batching, std::uint64_t seed) {
   sim.schedule_at(Time::msec(12), [&] { send_train(10, 600); });
   sim.run();
 
+  EXPECT_EQ(expect_links_conserved(net), 2);
+  out.arrivals_digest = arrivals.value;
   const auto& ls = link->stats();
   out.offered = ls.offered;
   out.delivered = ls.delivered;
@@ -187,15 +187,29 @@ ChaosOutcome run_fault_chaos(bool batching, std::uint64_t seed) {
   return out;
 }
 
-TEST(FaultBatchingDifferential, FaultsDuringParkedTrainsAreByteIdentical) {
-  for (const std::uint64_t seed : {1ull, 9ull, 23ull}) {
-    const ChaosOutcome batched = run_fault_chaos(true, seed);
-    const ChaosOutcome unbatched = run_fault_chaos(false, seed);
-    EXPECT_TRUE(batched == unbatched) << "seed " << seed;
+TEST(FaultGoldenTest, FaultsDuringParkedTrainsMatchGoldenOutcomes) {
+  const ChaosOutcome kGolden[] = {
+      {1, 0xa340e0fdae7f5f38ULL, 31, 43, 31, 0, 6, 6, 43, 31},
+      {9, 0x2090ea3b364ef884ULL, 31, 43, 31, 0, 6, 6, 43, 31},
+      {23, 0xc37940f2a373b58fULL, 28, 43, 28, 0, 9, 6, 43, 28},
+  };
+  for (const ChaosOutcome& golden : kGolden) {
+    SCOPED_TRACE("seed " + std::to_string(golden.seed));
+    const ChaosOutcome out = run_fault_chaos(golden.seed);
     // The script must actually exercise every interaction it claims to.
-    EXPECT_GT(batched.dropped_down, 0) << "seed " << seed;
-    EXPECT_GT(batched.dropped_loss, 0) << "seed " << seed;
-    EXPECT_GT(batched.delivered, 0) << "seed " << seed;
+    EXPECT_GT(out.dropped_down, 0);
+    EXPECT_GT(out.dropped_loss, 0);
+    EXPECT_GT(out.delivered, 0);
+
+    EXPECT_EQ(out.arrivals_digest, golden.arrivals_digest);
+    EXPECT_EQ(out.arrivals, golden.arrivals);
+    EXPECT_EQ(out.offered, golden.offered);
+    EXPECT_EQ(out.delivered, golden.delivered);
+    EXPECT_EQ(out.dropped_queue, golden.dropped_queue);
+    EXPECT_EQ(out.dropped_loss, golden.dropped_loss);
+    EXPECT_EQ(out.dropped_down, golden.dropped_down);
+    EXPECT_EQ(out.net_sent, golden.net_sent);
+    EXPECT_EQ(out.net_delivered, golden.net_delivered);
   }
 }
 

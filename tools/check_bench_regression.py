@@ -5,10 +5,10 @@ Understands three JSON schemas, sniffed per file:
 
 - google-benchmark JSON from `bench_micro --json`: compares
   items_per_second for every benchmark in the guarded families present in
-  both files: BM_PacketForwarding* (the steady-state batched path, the
-  unbatched reference path, the train path, and the telemetry-on variant),
-  the frame-cache pair BM_FrameSynthesis / BM_FrameCacheHit, and the client
-  integrity check BM_FrameVerify.
+  both files: BM_PacketForwarding* (the steady-state per-datagram path, the
+  train path, and the telemetry-on variant), the frame-cache pair
+  BM_FrameSynthesis / BM_FrameCacheHit, and the client integrity check
+  BM_FrameVerify.
 
 - bench_shared_world JSON (context.benchmark == "bench_shared_world"):
   compares events_per_sec for every (partitions, threads) cell present in
@@ -28,8 +28,11 @@ speed, and fails hard even when the speed numbers are incomparable.
 Guards, mirroring check_telemetry_overhead.py:
 - Debug/assert builds (context.assertions == "enabled") in either file are
   not comparable to Release numbers -- skip with exit 0.
-- Cross-host comparisons (context.host_name differs) are noise -- warn and
-  exit 0 instead of failing.
+- Cross-host comparisons are noise -- warn and exit 0 instead of failing.
+  Two runs count as the same host only when context.host_name AND the CPU
+  count match (context.hardware_concurrency, else google-benchmark's
+  context.num_cpus): a VM that gained cores keeps its name but not its
+  numbers.
 
 Exit code 0 = within budget (or nothing comparable), 1 = regression (or a
 non-deterministic fresh parallel run).
@@ -60,6 +63,13 @@ CELL_SCHEMAS = {
 def load(path):
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
+
+
+def host_identity(doc):
+    """(host_name, CPU count) of a benchmark JSON; None where unrecorded."""
+    ctx = doc.get("context", {})
+    cpus = ctx.get("hardware_concurrency", ctx.get("num_cpus"))
+    return ctx.get("host_name"), None if cpus is None else int(cpus)
 
 
 def cell_prefix(doc):
@@ -119,8 +129,8 @@ def main():
                   file=sys.stderr)
             return 0
 
-    fresh_host = fresh.get("context", {}).get("host_name")
-    base_host = base.get("context", {}).get("host_name")
+    fresh_host = host_identity(fresh)
+    base_host = host_identity(base)
     fresh_items = family_items_per_second(fresh)
     base_items = family_items_per_second(base)
     common = sorted(set(fresh_items) & set(base_items))

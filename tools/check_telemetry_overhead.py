@@ -13,10 +13,10 @@ file produced by `bench_micro --json`. The pairs are:
 1. Telemetry-off overhead: the off-path benchmark (no hub installed,
    every instrumentation site is one null-check branch) must stay within
    --budget (default 3%) of a baseline file's number — but only when the
-   two runs come from the same host (google-benchmark's
-   context.host_name); cross-host comparisons are noise, so they warn
-   instead of fail. A pair absent from the baseline (older baseline) is
-   skipped with a note.
+   two runs come from the same host: same context.host_name and same CPU
+   count (check_bench_regression.host_identity). Cross-host comparisons
+   are noise, so they warn instead of fail. A pair absent from the
+   baseline (older baseline) is skipped with a note.
 2. Telemetry-on delta: within the fresh run, on vs off is reported
    (informational unless --max-on-overhead is given; the bound applies
    only to the packet pair — session QoE collection is an opt-in path).
@@ -31,6 +31,8 @@ Usage:
 import argparse
 import json
 import sys
+
+from check_bench_regression import host_identity
 
 STEADY = "BM_PacketForwardingSteadyState"
 TRACED = "BM_PacketForwardingTelemetryOn"
@@ -71,8 +73,8 @@ def main():
         return 0
 
     base = load(args.baseline) if args.baseline else None
-    base_host = (base or {}).get("context", {}).get("host_name")
-    fresh_host = fresh.get("context", {}).get("host_name")
+    base_host = host_identity(base or {})
+    fresh_host = host_identity(fresh)
 
     failed = False
     for off_name, on_name, bound_on in PAIRS:
