@@ -240,6 +240,7 @@ int main(int argc, char** argv) {
           f,
           "{\"context\": {\"benchmark\": \"bench_chaos\","
           " \"host_name\": \"%s\", \"hardware_concurrency\": %u,"
+          " \"cpu_model\": \"%s\", \"frame_kernel\": \"%s\","
           " \"threads\": 1, \"assertions\": \"%s\","
           " \"trace\": \"%s\", \"metrics\": \"%s\", \"slo_json\": \"%s\"},\n"
           " \"sessions\": %d, \"wall_s\": %.3f, \"sessions_per_sec\": %.2f,\n"
@@ -248,6 +249,7 @@ int main(int argc, char** argv) {
           " \"recoveries\": %lld, \"floor_degradations\": %lld,"
           " \"faults\": %lld, \"crashes\": %lld}\n",
           bench::host_name().c_str(), bench::hardware_threads(),
+          bench::cpu_model().c_str(), bench::frame_kernel(),
           bench::built_with_assertions() ? "enabled" : "disabled",
           trace_file != nullptr ? trace_file : "",
           metrics_file != nullptr ? metrics_file : "",

@@ -162,24 +162,29 @@ void BM_VideoFrameGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_VideoFrameGeneration);
 
+// Frame sizes for the synthesis and verify sweeps: a small control frame,
+// an audio block, one MTU and a large video frame. Each body is generated in
+// 512-byte blocks, so the smaller sizes price a partial block alone.
+void FrameSizes(benchmark::internal::Benchmark* b) {
+  for (const int bytes : {64, 300, 1500, 6000}) b->Arg(bytes);
+}
+
 void BM_FrameSynthesis(benchmark::State& state) {
   // The cost a cache miss pays (and every frame paid before the shared
   // cache): synthesize the payload bytes from scratch. Pairs with
   // BM_FrameCacheHit — their ratio is what a hit saves per frame.
-  media::VideoProfile profile;
-  media::VideoSource source("video:mpeg:bench", profile, Time::sec(60));
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const std::uint32_t hash = media::hash_source_name("video:mpeg:bench");
   std::int64_t k = 0;
   for (auto _ : state) {
-    auto payload = source.synthesize_payload(k % source.frame_count(), 0);
+    auto payload = media::encode_frame_payload(hash, k, 0, bytes);
     benchmark::DoNotOptimize(payload.data());
     ++k;
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(source.frame_bytes(0, 0)));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FrameSynthesis);
+BENCHMARK(BM_FrameSynthesis)->Apply(FrameSizes);
 
 void BM_FrameCacheHit(benchmark::State& state) {
   // Steady-state shared-cache hit: one mutex-guarded map lookup + LRU splice
@@ -203,15 +208,16 @@ void BM_FrameCacheHit(benchmark::State& state) {
 BENCHMARK(BM_FrameCacheHit);
 
 void BM_FrameVerify(benchmark::State& state) {
-  const auto payload = media::encode_frame_payload(1, 2, 0, 6000);
+  const auto payload = media::encode_frame_payload(
+      1, 2, 0, static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     auto meta = media::verify_frame_payload(payload);
     benchmark::DoNotOptimize(meta);
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetBytesProcessed(state.iterations() * 6000);
+  state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FrameVerify);
+BENCHMARK(BM_FrameVerify)->Apply(FrameSizes);
 
 void BM_EmulatedPacketPath(benchmark::State& state) {
   // Cost of pushing one datagram through a 3-hop emulated path, including
@@ -455,6 +461,8 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext(
       "hardware_concurrency",
       std::to_string(hyms::bench::hardware_threads()));
+  benchmark::AddCustomContext("cpu_model", hyms::bench::cpu_model());
+  benchmark::AddCustomContext("frame_kernel", hyms::bench::frame_kernel());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

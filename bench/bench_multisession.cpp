@@ -326,6 +326,8 @@ int main(int argc, char** argv) {
                  "    \"session_sim_seconds\": %.1f,\n"
                  "    \"num_cpus\": %u,\n"
                  "    \"hardware_concurrency\": %u,\n"
+                 "    \"cpu_model\": \"%s\",\n"
+                 "    \"frame_kernel\": \"%s\",\n"
                  "    \"frame_cache\": %s,\n"
                  "    \"frame_cache_mb\": %.1f,\n"
                  "    \"trace\": \"%s\",\n"
@@ -337,6 +339,7 @@ int main(int argc, char** argv) {
                  "  \"results\": [\n",
                  bench::host_name().c_str(), sessions, documents, zipf_s,
                  run_for_s, hw, bench::hardware_threads(),
+                 bench::cpu_model().c_str(), bench::frame_kernel(),
                  cache_enabled ? "true" : "false",
                  cache_enabled ? cache_mb : 0.0, trace_file.c_str(),
                  metrics_file.c_str(), slo_file.c_str(),

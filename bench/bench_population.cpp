@@ -285,6 +285,8 @@ int main(int argc, char** argv) {
                  "    \"benchmark\": \"bench_population\",\n"
                  "    \"host_name\": \"%s\",\n"
                  "    \"hardware_concurrency\": %u,\n"
+                 "    \"cpu_model\": \"%s\",\n"
+                 "    \"frame_kernel\": \"%s\",\n"
                  "    \"sessions\": %d,\n"
                  "    \"servers\": %d,\n"
                  "    \"documents\": %d,\n"
@@ -305,7 +307,8 @@ int main(int argc, char** argv) {
                  "  },\n"
                  "  \"deterministic\": %s,\n"
                  "  \"results\": [\n",
-                 bench::host_name().c_str(), hw, cfg.sessions, cfg.servers,
+                 bench::host_name().c_str(), hw,
+                 bench::cpu_model().c_str(), bench::frame_kernel(), cfg.sessions, cfg.servers,
                  cfg.documents, partitions,
                  static_cast<unsigned long long>(cfg.seed),
                  static_cast<long long>(lookahead.us()),

@@ -111,6 +111,8 @@ int main(int argc, char** argv) {
                  "    \"benchmark\": \"bench_scenario_playout\",\n"
                  "    \"host_name\": \"%s\",\n"
                  "    \"hardware_concurrency\": %u,\n"
+                 "    \"cpu_model\": \"%s\",\n"
+                 "    \"frame_kernel\": \"%s\",\n"
                  "    \"threads\": 1,\n"
                  "    \"assertions\": \"%s\"\n"
                  "  },\n"
@@ -118,6 +120,7 @@ int main(int argc, char** argv) {
                  "  \"finished\": %s,\n"
                  "  \"streams\": [\n",
                  bench::host_name().c_str(), bench::hardware_threads(),
+                 bench::cpu_model().c_str(), bench::frame_kernel(),
                  bench::built_with_assertions() ? "enabled" : "disabled",
                  trace.max_abs_skew_ms(),
                  runtime.scheduler().finished() ? "true" : "false");

@@ -184,6 +184,8 @@ int main(int argc, char** argv) {
                  "    \"benchmark\": \"bench_shared_world\",\n"
                  "    \"host_name\": \"%s\",\n"
                  "    \"hardware_concurrency\": %u,\n"
+                 "    \"cpu_model\": \"%s\",\n"
+                 "    \"frame_kernel\": \"%s\",\n"
                  "    \"clients\": %d,\n"
                  "    \"sim_seconds\": %d,\n"
                  "    \"partitions\": %zu,\n"
@@ -197,7 +199,8 @@ int main(int argc, char** argv) {
                  "  },\n"
                  "  \"deterministic\": %s,\n"
                  "  \"results\": [\n",
-                 bench::host_name().c_str(), hw, clients, seconds, partitions,
+                 bench::host_name().c_str(), hw,
+                 bench::cpu_model().c_str(), bench::frame_kernel(), clients, seconds, partitions,
                  static_cast<unsigned long long>(seed),
                  static_cast<long long>(lookahead.us()), seq.events_executed,
                  trace_file.c_str(), metrics_file.c_str(), slo_file.c_str(),

@@ -3,12 +3,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <fstream>
+#include <string_view>
 #include <thread>
 
 #include "client/browser_session.hpp"
 #include "hermes/deployment.hpp"
 #include "hermes/lesson_builder.hpp"
 #include "hermes/sample_content.hpp"
+#include "media/body_kernels.hpp"
 #include "net/cross_traffic.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/telemetry.hpp"
@@ -290,6 +293,27 @@ unsigned hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : hw;
 }
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  const std::string_view key = "model name";
+  for (std::string line; std::getline(in, line);) {
+    if (line.compare(0, key.size(), key) != 0) continue;
+    const auto start = line.find_first_not_of(" \t:", key.size());
+    if (start == std::string::npos) break;
+    std::string model = line.substr(start);
+    // The name goes into JSON strings unescaped.
+    for (char& c : model) {
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+        c = '?';
+      }
+    }
+    return model;
+  }
+  return "unknown";
+}
+
+const char* frame_kernel() { return media::detail::body_kernel().name; }
 
 void warn_if_debug_build(const char* bench_name) {
   if (!built_with_assertions()) return;

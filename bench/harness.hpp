@@ -152,6 +152,17 @@ std::uint64_t session_fingerprint(const SessionMetrics& metrics);
 /// from a 1-CPU container are not comparable to a many-core host's.
 [[nodiscard]] unsigned hardware_threads();
 
+/// The CPU's model name from /proc/cpuinfo ("unknown" where unreadable).
+/// Emitted into every BENCH_*.json context beside hardware_concurrency: a
+/// host that kept its name and core count but moved to another CPU is a
+/// different host to the regression guard.
+[[nodiscard]] std::string cpu_model();
+
+/// Name of the frame-body generator build this host dispatches to (e.g.
+/// "x86-64-v4", "portable"). Emitted beside cpu_model: frame synthesis and
+/// verify numbers from different builds are not comparable.
+[[nodiscard]] const char* frame_kernel();
+
 /// Print a loud stderr warning when the benchmark binary is a debug build —
 /// numbers from it are not comparable to the committed Release baselines.
 void warn_if_debug_build(const char* bench_name);

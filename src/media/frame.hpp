@@ -25,11 +25,14 @@ struct MediaFrame {
 /// Body byte i is the low byte of a 64-bit xorshift (<<13, >>7, <<17) state
 /// seeded from (source_hash, index, level) and stepped i + 1 times, so any
 /// truncation or corruption en route is detectable without shipping real
-/// codec data. Encoding and verification share one generator: it fills each
-/// 256-byte group with eight independent 32-byte lanes, starting each lane
-/// 32 steps after the previous one through a precomputed jump table, and
-/// steps the tail one byte at a time. The bytes are the same as stepping the
-/// whole body one byte at a time.
+/// codec data. Encoding and verification share one generator. It fills
+/// 512-byte blocks of two 256-byte groups, each group eight independent
+/// 32-byte lanes held in one vector. Every lane and the next group start 32
+/// steps apart through a precomputed jump table. The generator is built once
+/// per x86-64 level (v4, v3) plus a portable build, and the host's best one
+/// is picked at first use. A body that ends inside a block takes the prefix
+/// of a whole block, so there is no byte-at-a-time tail. The bytes are the
+/// same as stepping the whole body one byte at a time.
 struct FrameBody {
   std::uint32_t source_hash = 0;
   std::int64_t index = 0;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "media/body_kernels.hpp"
 #include "media/frame.hpp"
 #include "media/profiles.hpp"
 #include "media/quality.hpp"
@@ -110,16 +113,35 @@ TEST(FramePayloadTest, EncodeVerifyRoundTrip) {
   EXPECT_EQ(meta->quality_level, 3);
 }
 
-// Body lengths on both sides of the generator's 32-byte lane slices and
-// 256-byte groups, plus multi-kilobyte bodies with a tail after many groups.
+// Body lengths on both sides of the generator's 32-byte lane slices,
+// 256-byte groups and 512-byte blocks, plus multi-kilobyte bodies with a
+// partial block after many whole ones.
 constexpr std::size_t kBodyLengths[] = {0,   1,   31,  32,   255,  256, 257,
                                         511, 512, 513, 3479, 5979, 8192};
 
 // Byte-at-a-time reference for the payload layout: big-endian header, then
 // one xorshift step per body byte, emitting the state's low byte.
-std::vector<std::uint8_t> oracle_payload(std::uint32_t source_hash,
-                                         std::int64_t index, int level,
-                                         std::size_t body_len) {
+std::uint64_t oracle_seed(std::uint32_t source_hash, std::int64_t index,
+                          int level) {
+  return (static_cast<std::uint64_t>(source_hash) << 32) ^
+         static_cast<std::uint64_t>(index) ^
+         (static_cast<std::uint64_t>(level) << 56) ^ 0x9E3779B97F4A7C15ULL;
+}
+
+std::vector<std::uint8_t> oracle_body(std::uint64_t x, std::size_t body_len) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t i = 0; i < body_len; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    out.push_back(static_cast<std::uint8_t>(x));
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> oracle_header(std::uint32_t source_hash,
+                                        std::int64_t index, int level,
+                                        std::size_t body_len) {
   std::vector<std::uint8_t> out;
   const auto put = [&out](std::uint64_t v, int bytes) {
     for (int i = bytes - 1; i >= 0; --i) {
@@ -131,16 +153,16 @@ std::vector<std::uint8_t> oracle_payload(std::uint32_t source_hash,
   put(static_cast<std::uint64_t>(index), 8);
   put(static_cast<std::uint8_t>(level), 1);
   put(body_len, 4);
-  std::uint64_t x = (static_cast<std::uint64_t>(source_hash) << 32) ^
-                    static_cast<std::uint64_t>(index) ^
-                    (static_cast<std::uint64_t>(level) << 56) ^
-                    0x9E3779B97F4A7C15ULL;
-  for (std::size_t i = 0; i < body_len; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    out.push_back(static_cast<std::uint8_t>(x));
-  }
+  return out;
+}
+
+std::vector<std::uint8_t> oracle_payload(std::uint32_t source_hash,
+                                         std::int64_t index, int level,
+                                         std::size_t body_len) {
+  auto out = oracle_header(source_hash, index, level, body_len);
+  const auto body =
+      oracle_body(oracle_seed(source_hash, index, level), body_len);
+  out.insert(out.end(), body.begin(), body.end());
   return out;
 }
 
@@ -164,7 +186,10 @@ TEST(FramePayloadTest, EncodeMatchesByteAtATimeOracle) {
 // FNV-1a 64 over the concatenated payloads of a fixed (hash, index, level,
 // size) sweep, recorded from the byte-at-a-time generator. Any change to the
 // wire bytes of a frame payload changes this digest.
-TEST(FramePayloadTest, WireBytesMatchGoldenDigest) {
+constexpr std::uint64_t kGoldenPayloadDigest = 0xe6025d144cdbca7dULL;
+
+template <class MakePayload>
+std::uint64_t golden_sweep_digest(const MakePayload& make_payload) {
   const std::uint32_t hashes[] = {0u, 1u, 0xABCDu, 0xDEADBEEFu, 0xFFFFFFFFu};
   const std::int64_t indexes[] = {std::numeric_limits<std::int64_t>::min(),
                                   -1,
@@ -181,8 +206,7 @@ TEST(FramePayloadTest, WireBytesMatchGoldenDigest) {
     for (const std::int64_t index : indexes) {
       for (const int level : {0, 1, 7, 255}) {
         for (const std::size_t total : totals) {
-          for (const std::uint8_t b :
-               encode_frame_payload(hash, index, level, total)) {
+          for (const std::uint8_t b : make_payload(hash, index, level, total)) {
             digest ^= b;
             digest *= 0x100000001b3ULL;
           }
@@ -192,7 +216,11 @@ TEST(FramePayloadTest, WireBytesMatchGoldenDigest) {
     }
   }
   EXPECT_EQ(payloads, 2100u);
-  EXPECT_EQ(digest, 0xe6025d144cdbca7dULL);
+  return digest;
+}
+
+TEST(FramePayloadTest, WireBytesMatchGoldenDigest) {
+  EXPECT_EQ(golden_sweep_digest(encode_frame_payload), kGoldenPayloadDigest);
 }
 
 TEST(FramePayloadTest, EveryBodyBitFlipDetected) {
@@ -266,6 +294,85 @@ TEST(FramePayloadTest, SourceNameHashStable) {
   EXPECT_EQ(hash_source_name("video:mpeg:x"), hash_source_name("video:mpeg:x"));
   EXPECT_NE(hash_source_name("a"), hash_source_name("b"));
 }
+
+// --- body generator kernels ---------------------------------------------------------
+// Every instruction-set build of the body generator this host can run, each
+// against the byte-at-a-time oracle. The portable build is always listed, so
+// it is covered on hosts whose frames use a wider one.
+
+TEST(BodyKernelTest, DispatchesFirstListedAndListsPortableLast) {
+  const auto kernels = detail::body_kernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(&detail::body_kernel(), &kernels.front());
+  EXPECT_EQ(std::string(kernels.back().name), "portable");
+}
+
+class BodyKernelSweep : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  const detail::BodyKernel& kernel() const {
+    return detail::body_kernels()[GetParam()];
+  }
+};
+
+// Every length up to four blocks, so every partial-block size and every
+// lane, group and block boundary is crossed. Filling writes nothing past
+// the body.
+TEST_P(BodyKernelSweep, MatchesByteAtATimeOracleAtEveryLength) {
+  constexpr std::size_t kSlack = 64;
+  for (std::size_t n = 0; n <= 2100; ++n) {
+    const std::uint64_t seed = oracle_seed(0xC0FFEE, static_cast<int>(n) - 700,
+                                           static_cast<int>(n % 256));
+    const auto expected = oracle_body(seed, n);
+    std::vector<std::uint8_t> out(n + kSlack, 0xA5);
+    detail::fill_body(kernel(), seed, out.data(), n);
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(), out.begin()))
+        << "body " << n;
+    for (std::size_t i = n; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], 0xA5) << "body " << n << " wrote byte " << i;
+    }
+    ASSERT_TRUE(detail::body_matches(kernel(), seed, expected.data(), n))
+        << "body " << n;
+  }
+}
+
+TEST_P(BodyKernelSweep, WireBytesMatchGoldenDigest) {
+  const auto payload = [this](std::uint32_t hash, std::int64_t index,
+                              int level, std::size_t total) {
+    const std::size_t body_len =
+        encoded_frame_size(total) - kFrameHeaderBytes;
+    auto out = oracle_header(hash, index, level, body_len);
+    out.resize(kFrameHeaderBytes + body_len);
+    detail::fill_body(kernel(), oracle_seed(hash, index, level),
+                      out.data() + kFrameHeaderBytes, body_len);
+    return out;
+  };
+  EXPECT_EQ(golden_sweep_digest(payload), kGoldenPayloadDigest);
+}
+
+TEST_P(BodyKernelSweep, EveryBodyBitFlipRejected) {
+  for (const std::size_t body_len : kBodyLengths) {
+    const std::uint64_t seed = oracle_seed(7, 2, 0);
+    auto body = oracle_body(seed, body_len);
+    for (std::size_t i = 0; i < body_len; ++i) {
+      const auto bit = static_cast<std::uint8_t>(1u << (i % 8));
+      body[i] ^= bit;
+      EXPECT_FALSE(detail::body_matches(kernel(), seed, body.data(), body_len))
+          << "body " << body_len << " byte " << i;
+      body[i] ^= bit;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, BodyKernelSweep,
+    ::testing::Range<std::size_t>(0, detail::body_kernels().size()),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      std::string name = detail::body_kernels()[info.param].name;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 // --- sources ------------------------------------------------------------------------
 

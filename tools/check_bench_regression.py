@@ -32,7 +32,10 @@ Guards, mirroring check_telemetry_overhead.py:
   Two runs count as the same host only when context.host_name AND the CPU
   count match (context.hardware_concurrency, else google-benchmark's
   context.num_cpus): a VM that gained cores keeps its name but not its
-  numbers.
+  numbers. Where both files record them, context.cpu_model (a VM moved to
+  another CPU) and context.frame_kernel (the frame-body generator build the
+  host dispatched to) must match too; a file that predates a field is
+  compared without it.
 
 Exit code 0 = within budget (or nothing comparable), 1 = regression (or a
 non-deterministic fresh parallel run).
@@ -65,11 +68,31 @@ def load(path):
         return json.load(f)
 
 
+# Identity fields compared only when both files record them: older
+# baselines lack them and keep the (host_name, CPU count) rule.
+OPTIONAL_IDENTITY = ("cpu_model", "frame_kernel")
+
+
 def host_identity(doc):
-    """(host_name, CPU count) of a benchmark JSON; None where unrecorded."""
+    """Identity fields of a benchmark JSON: host_name, CPU count, cpu_model
+    and frame_kernel; None where unrecorded."""
     ctx = doc.get("context", {})
     cpus = ctx.get("hardware_concurrency", ctx.get("num_cpus"))
-    return ctx.get("host_name"), None if cpus is None else int(cpus)
+    ident = {"host_name": ctx.get("host_name"),
+             "cpus": None if cpus is None else int(cpus)}
+    for key in OPTIONAL_IDENTITY:
+        ident[key] = ctx.get(key)
+    return ident
+
+
+def same_host(a, b):
+    """True when two benchmark JSONs come from the same host: equal
+    host_name and CPU count, and equal optional fields where both have
+    them."""
+    ia, ib = host_identity(a), host_identity(b)
+    return all(ia[key] == ib[key] for key in ia
+               if key not in OPTIONAL_IDENTITY
+               or (ia[key] is not None and ib[key] is not None))
 
 
 def cell_prefix(doc):
@@ -129,8 +152,6 @@ def main():
                   file=sys.stderr)
             return 0
 
-    fresh_host = host_identity(fresh)
-    base_host = host_identity(base)
     fresh_items = family_items_per_second(fresh)
     base_items = family_items_per_second(base)
     common = sorted(set(fresh_items) & set(base_items))
@@ -139,9 +160,10 @@ def main():
               "between the two files -- nothing to compare")
         return 0
 
-    if base_host != fresh_host:
-        print(f"check_bench_regression: baseline host {base_host!r} != "
-              f"{fresh_host!r}; cross-host numbers are noise -- warn only")
+    if not same_host(fresh, base):
+        print(f"check_bench_regression: baseline host "
+              f"{host_identity(base)!r} != {host_identity(fresh)!r}; "
+              "cross-host numbers are noise -- warn only")
         for name in common:
             print(f"  {name}: baseline {base_items[name]:,.0f} items/s, "
                   f"fresh {fresh_items[name]:,.0f}")

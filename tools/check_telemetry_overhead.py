@@ -13,8 +13,9 @@ file produced by `bench_micro --json`. The pairs are:
 1. Telemetry-off overhead: the off-path benchmark (no hub installed,
    every instrumentation site is one null-check branch) must stay within
    --budget (default 3%) of a baseline file's number — but only when the
-   two runs come from the same host: same context.host_name and same CPU
-   count (check_bench_regression.host_identity). Cross-host comparisons
+   two runs come from the same host (check_bench_regression.same_host:
+   host name and CPU count, plus CPU model and frame kernel where both
+   runs record them). Cross-host comparisons
    are noise, so they warn instead of fail. A pair absent from the
    baseline (older baseline) is skipped with a note.
 2. Telemetry-on delta: within the fresh run, on vs off is reported
@@ -32,7 +33,7 @@ import argparse
 import json
 import sys
 
-from check_bench_regression import host_identity
+from check_bench_regression import host_identity, same_host
 
 STEADY = "BM_PacketForwardingSteadyState"
 TRACED = "BM_PacketForwardingTelemetryOn"
@@ -73,8 +74,6 @@ def main():
         return 0
 
     base = load(args.baseline) if args.baseline else None
-    base_host = host_identity(base or {})
-    fresh_host = host_identity(fresh)
 
     failed = False
     for off_name, on_name, bound_on in PAIRS:
@@ -97,10 +96,10 @@ def main():
         if base_off is None or off is None:
             print("check_telemetry_overhead: no comparable "
                   f"{off_name} in baseline -- skipping off-path check")
-        elif base_host != fresh_host:
-            print(f"check_telemetry_overhead: baseline host {base_host!r} != "
-                  f"{fresh_host!r}; cross-host numbers are noise -- "
-                  "warn only")
+        elif not same_host(fresh, base):
+            print(f"check_telemetry_overhead: baseline host "
+                  f"{host_identity(base)!r} != {host_identity(fresh)!r}; "
+                  "cross-host numbers are noise -- warn only")
             print(f"  baseline {base_off:,.0f} items/s, fresh {off:,.0f}")
         else:
             slowdown = (base_off / off - 1.0) * 100.0 if off > 0 else 0.0
